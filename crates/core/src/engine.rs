@@ -24,12 +24,12 @@
 use crate::config::EngineConfig;
 use crate::eg::{ExecutionGraph, NodeId};
 use crate::error::EngineError;
-use crate::join::{binding_masks, join, join_delta, JoinRow, PosSpec};
+use crate::join::{
+    binding_masks, join, join_delta, query_pattern, tuple_matcher, JoinRow, PosSpec,
+};
 use crate::state::{EngineState, ExportError, NodeState, RestoreError};
 use ltg_datalog::fxhash::{FxHashMap, FxHashSet};
-use ltg_datalog::{
-    canonicalize, Atom, CanonicalProgram, PredId, Program, RuleId, Substitution, Sym,
-};
+use ltg_datalog::{canonicalize, Atom, CanonicalProgram, PredId, Program, RuleId, Sym};
 use ltg_lineage::extract::DnfCache;
 use ltg_lineage::forest::fact_sig;
 use ltg_lineage::{
@@ -182,6 +182,11 @@ pub struct LtgEngine {
     graph: ExecutionGraph,
     /// Global registry: root fact → every stored tree with that root.
     derived: FxHashMap<FactId, Vec<TreeId>>,
+    /// The keys of `derived`, one [`Relation`] per predicate (indexed by
+    /// `PredId`): what query answering probes instead of scanning
+    /// `derived`. A fact enters when it gains its first tree and leaves
+    /// when its last one is retracted.
+    derived_rels: Vec<Relation>,
     /// Memoized leafset summaries per tree (see `ltg_lineage::summary`):
     /// the canonical antichain of the tree's explanation leaf sets, or a
     /// digest once it outgrows the exact cutoff. Covers collapsed (OR)
@@ -280,6 +285,7 @@ impl LtgEngine {
             forest: Forest::new(),
             graph: ExecutionGraph::new(),
             derived: FxHashMap::default(),
+            derived_rels: Vec::new(),
             summaries: SummaryCache::default(),
             expl_seen: FxHashMap::default(),
             expl_union: FxHashMap::default(),
@@ -470,8 +476,13 @@ impl LtgEngine {
     }
 
     fn refresh_meter(&self) {
-        let derived_bytes =
-            self.derived.len() * 40 + self.derived.values().map(|v| v.len() * 4).sum::<usize>();
+        let derived_bytes = self.derived.len() * 40
+            + self.derived.values().map(|v| v.len() * 4).sum::<usize>()
+            + self
+                .derived_rels
+                .iter()
+                .map(Relation::estimated_bytes)
+                .sum::<usize>();
         let bytes = self.db.estimated_bytes()
             + self.forest.estimated_bytes()
             + self.graph.estimated_bytes()
@@ -902,6 +913,7 @@ impl LtgEngine {
                 let s = self.summary(t);
                 self.unregister_summary(fact, &s);
             }
+            let was_derived = self.derived.contains_key(&fact);
             let dead_set = &dead_by_fact[&fact];
             if let Some(trees) = self.derived.get_mut(&fact) {
                 trees.retain(|t| !dead_set.contains(t));
@@ -919,6 +931,10 @@ impl LtgEngine {
             }
             if self.derived.get(&fact).is_some_and(Vec::is_empty) {
                 self.derived.remove(&fact);
+            }
+            let is_derived = self.derived.contains_key(&fact);
+            if is_derived != was_derived {
+                self.set_derived_member(fact, is_derived);
             }
         }
 
@@ -1650,7 +1666,12 @@ impl LtgEngine {
             if first_time {
                 n.store.push(fact);
             }
-            self.derived.entry(fact).or_default().extend(fresh);
+            let trees = self.derived.entry(fact).or_default();
+            let first_tree = trees.is_empty();
+            trees.extend(fresh);
+            if first_tree {
+                self.set_derived_member(fact, true);
+            }
             outcome.fresh_facts.push(fact);
         }
         Ok(outcome)
@@ -1913,6 +1934,7 @@ impl LtgEngine {
             forest,
             graph,
             derived,
+            derived_rels: Vec::new(),
             summaries: SummaryCache::default(),
             expl_seen: FxHashMap::default(),
             expl_union: FxHashMap::default(),
@@ -1939,6 +1961,7 @@ impl LtgEngine {
         let mut facts: Vec<FactId> = engine.derived.keys().copied().collect();
         facts.sort_unstable();
         for fact in facts {
+            engine.set_derived_member(fact, true);
             let trees = engine.derived[&fact].clone();
             for t in trees {
                 let s = engine.summary(t);
@@ -1979,28 +2002,65 @@ impl LtgEngine {
         Ok(dnf)
     }
 
-    /// All facts (derived or extensional) matching the query atom.
-    pub fn answer_facts(&self, query: &Atom) -> Vec<FactId> {
-        let n_vars = query.vars().map(|v| v.index() + 1).max().unwrap_or(0);
-        let matches = |f: FactId| -> bool {
-            let args = self.db.store.args(f);
-            if args.len() != query.terms.len() {
-                return false;
-            }
-            let mut subst = Substitution::new(n_vars);
-            query.match_tuple(args, &mut subst)
-        };
-        let mut out: Vec<FactId> = self
-            .derived
-            .keys()
-            .copied()
-            .filter(|&f| self.db.store.pred(f) == query.pred && matches(f))
-            .collect();
-        for &f in self.db.edb_facts(query.pred) {
-            if matches(f) {
-                out.push(f);
-            }
+    /// Adds `fact` to (or removes it from) its predicate's derived
+    /// relation, keeping that relation's indexes current.
+    fn set_derived_member(&mut self, fact: FactId, member: bool) {
+        let pred = self.db.store.pred(fact).index();
+        if pred >= self.derived_rels.len() {
+            self.derived_rels.resize_with(pred + 1, Relation::new);
         }
+        let rel = &mut self.derived_rels[pred];
+        if member {
+            rel.push(fact);
+        } else {
+            rel.remove(fact, &self.db.store);
+        }
+    }
+
+    /// Prepares the indexes [`LtgEngine::answer_facts`] probes for
+    /// `query` — its constant positions over the predicate's derived and
+    /// extensional relations — so that answering costs O(matches).
+    /// Without it `answer_facts` still answers, by scanning the
+    /// predicate's facts.
+    pub fn prepare_answer(&mut self, query: &Atom) {
+        let (mask, _) = query_pattern(query);
+        if mask == 0 {
+            return;
+        }
+        let pred = query.pred.index();
+        if pred >= self.derived_rels.len() {
+            self.derived_rels.resize_with(pred + 1, Relation::new);
+        }
+        let grew_derived = self.derived_rels[pred].ensure_index(mask, &self.db.store);
+        let grew_edb = self.db.ensure_edb_index(query.pred, mask);
+        if grew_derived || grew_edb {
+            self.refresh_meter();
+        }
+    }
+
+    /// All facts (derived or extensional) matching the query atom, in
+    /// id order. Probes the indexes [`LtgEngine::prepare_answer`] built
+    /// on the query's constant positions; an unprepared (or stale) index
+    /// falls back to scanning the predicate's facts.
+    pub fn answer_facts(&self, query: &Atom) -> Vec<FactId> {
+        let (mask, key) = query_pattern(query);
+        let derived = self
+            .derived_rels
+            .get(query.pred.index())
+            .map_or(&[][..], |rel| {
+                rel.try_probe(mask, &key).unwrap_or(rel.facts())
+            });
+        let edb = self
+            .db
+            .try_probe_edb(query.pred, mask, &key)
+            .unwrap_or_else(|| self.db.edb_facts(query.pred));
+        let mut matches = tuple_matcher(query);
+        let mut out: Vec<FactId> = derived
+            .iter()
+            .chain(edb)
+            .copied()
+            .filter(|&f| matches(self.db.store.args(f)))
+            .collect();
         out.sort_unstable();
         out.dedup();
         out

@@ -10,8 +10,8 @@
 
 use crate::error::EngineError;
 use ltg_datalog::fxhash::FxHashSet;
-use ltg_datalog::{Rule, Substitution, Sym, Term};
-use ltg_storage::{FactId, FactStore, Relation, ResourceMeter};
+use ltg_datalog::{Atom, Rule, Substitution, Sym, Term};
+use ltg_storage::{FactId, FactStore, PatternMask, Relation, ResourceMeter};
 
 /// One term mapping: the instantiated head tuple plus the body facts that
 /// matched each premise position.
@@ -45,6 +45,37 @@ pub fn binding_masks(rule: &Rule) -> Vec<u32> {
         }
     }
     masks
+}
+
+/// The probe of a query atom: the mask of its constant positions and
+/// their values in position order. Positions past the mask's width stay
+/// unbound; [`tuple_matcher`] still checks them.
+pub fn query_pattern(query: &Atom) -> (PatternMask, Vec<Sym>) {
+    let mut mask = 0;
+    let mut key = Vec::new();
+    for (i, t) in query
+        .terms
+        .iter()
+        .enumerate()
+        .take(PatternMask::BITS as usize)
+    {
+        if let Term::Const(c) = t {
+            mask |= 1 << i;
+            key.push(*c);
+        }
+    }
+    (mask, key)
+}
+
+/// [`Atom::match_tuple`] as a reusable test of ground tuples: constants
+/// must match and repeated variables must bind consistently.
+pub fn tuple_matcher(query: &Atom) -> impl FnMut(&[Sym]) -> bool + '_ {
+    let n_vars = query.vars().map(|v| v.index() + 1).max().unwrap_or(0);
+    let mut subst = Substitution::new(n_vars);
+    move |args| {
+        subst.rollback(0);
+        args.len() == query.terms.len() && query.match_tuple(args, &mut subst)
+    }
 }
 
 /// Enumerates all instantiations of `rule` where premise atom `j` matches

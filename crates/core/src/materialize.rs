@@ -23,9 +23,9 @@
 
 use crate::eg::{ExecutionGraph, NodeId};
 use crate::error::EngineError;
-use crate::join::{binding_masks, join};
+use crate::join::{binding_masks, join, tuple_matcher};
 use ltg_datalog::fxhash::FxHashSet;
-use ltg_datalog::{canonicalize, Atom, CanonicalProgram, Program, Term};
+use ltg_datalog::{canonicalize, Atom, CanonicalProgram, Program};
 use ltg_storage::{Database, FactId, Relation, ResourceMeter};
 use std::time::{Duration, Instant};
 
@@ -288,37 +288,13 @@ impl TgMaterializer {
     }
 
     /// All model facts matching `query` (constants must match, variables
-    /// bind anything). Mirrors `LtgEngine::answer_facts`.
+    /// bind anything, repeated variables bind consistently), in id order.
     pub fn answer_facts(&self, query: &Atom) -> Vec<FactId> {
-        let mut out = Vec::new();
-        for f in self.model() {
-            if self.db.store.pred(f) != query.pred {
-                continue;
-            }
-            let args = self.db.store.args(f);
-            let ok = query.terms.iter().zip(args.iter()).all(|(t, a)| match t {
-                Term::Const(c) => c == a,
-                Term::Var(_) => true,
-            });
-            // Repeated query variables must bind consistently.
-            let consistent = {
-                let mut seen: Vec<(u32, ltg_datalog::Sym)> = Vec::new();
-                query.terms.iter().zip(args.iter()).all(|(t, a)| match t {
-                    Term::Var(v) => match seen.iter().find(|(u, _)| *u == v.0) {
-                        Some((_, bound)) => bound == a,
-                        None => {
-                            seen.push((v.0, *a));
-                            true
-                        }
-                    },
-                    Term::Const(_) => true,
-                })
-            };
-            if ok && consistent {
-                out.push(f);
-            }
-        }
-        out
+        let mut matches = tuple_matcher(query);
+        self.model()
+            .into_iter()
+            .filter(|&f| self.db.store.pred(f) == query.pred && matches(self.db.store.args(f)))
+            .collect()
     }
 }
 
@@ -407,8 +383,8 @@ mod tests {
         let q = {
             let mut q = p.queries[0].clone();
             q.terms = vec![
-                Term::Var(ltg_datalog::Var(0)),
-                Term::Var(ltg_datalog::Var(0)),
+                ltg_datalog::Term::Var(ltg_datalog::Var(0)),
+                ltg_datalog::Term::Var(ltg_datalog::Var(0)),
             ];
             q
         };

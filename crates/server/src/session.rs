@@ -705,15 +705,16 @@ impl Session {
         // Compute: lineage per answer, then the escalation ladder. The
         // sampler seed mixes (session seed, epoch, query text) so a
         // session replays bit-identically while mutations re-roll.
+        self.engine.prepare_answer(&atom);
         let results = self.engine.answer(&atom).map_err(SessionError::Engine)?;
-        let weights = self.engine.db().weights();
+        let weights = self.engine.db().weight_slice();
         let query_seed = mix_seed(self.seed, self.engine.db().epoch(), atom_text.trim());
         let planner = TierPlanner::default();
         let mut tier = Tier::Exact;
         let mut answers = Vec::with_capacity(results.len());
         for (i, (f, d)) in results.into_iter().enumerate() {
             let seed = query_seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let outcome = planner.solve(&d, &weights, epsilon, deadline, seed);
+            let outcome = planner.solve(&d, weights, epsilon, deadline, seed);
             tier = tier.max(outcome.tier);
             self.stats.approx_escalations += u64::from(outcome.escalations);
             if self.metrics_on {
@@ -858,14 +859,15 @@ impl Session {
 
     /// Computes (lineage + WMC) the answers of a resolved atom.
     fn compute(&mut self, atom: &Atom) -> Result<Rc<[Answer]>, SessionError> {
+        self.engine.prepare_answer(atom);
         let results = self.engine.answer(atom).map_err(SessionError::Engine)?;
-        let weights = self.engine.db().weights();
+        let weights = self.engine.db().weight_slice();
         let wmc_timer = PhaseTimer::start(self.metrics_on || self.slow_us.is_some());
         let mut answers = Vec::with_capacity(results.len());
         for (f, d) in results {
             let prob = self
                 .solver
-                .probability(&d, &weights)
+                .probability(&d, weights)
                 .map_err(|e| SessionError::Solver(e.to_string()))?;
             let program = self.engine.program();
             let text = self

@@ -121,8 +121,12 @@ pub struct DatabaseState {
 pub struct Database {
     /// The global fact arena (extensional and derived facts).
     pub store: FactStore,
-    /// `π(f)` for extensional facts; `None` for derived facts.
-    probs: Vec<Option<f64>>,
+    /// The WMC weight vector, one slot per interned fact: `π(f)` for
+    /// extensional facts, 1.0 for derived ones. Kept current by every
+    /// mutation so query answering borrows it instead of copying it.
+    weights: Vec<f64>,
+    /// EDB membership, one bit per interned fact (bit set = `f ∈ F`).
+    edb_bits: Vec<u64>,
     /// Extensional facts per predicate.
     edb: Vec<Relation>,
     /// Mutation counter: advances on every fresh insert or probability
@@ -139,7 +143,8 @@ impl Database {
     pub fn new(n_preds: usize) -> Self {
         Database {
             store: FactStore::new(),
-            probs: Vec::new(),
+            weights: Vec::new(),
+            edb_bits: Vec::new(),
             edb: (0..n_preds).map(|_| Relation::new()).collect(),
             epoch: 0,
             pred_epochs: vec![0; n_preds],
@@ -169,19 +174,17 @@ impl Database {
     pub fn insert_edb(&mut self, pred: PredId, args: &[Sym], prob: f64) -> (FactId, InsertOutcome) {
         let (f, fresh) = self.store.intern(pred, args);
         if fresh {
-            self.probs.push(Some(prob));
-            self.grow_to(pred);
-            self.edb[pred.index()].push(f);
-            self.bump(pred);
-            return (f, InsertOutcome::Inserted);
+            self.push_slot();
         }
-        match self.probs[f.index()] {
+        match self.prob(f) {
             Some(existing) if existing == prob => (f, InsertOutcome::Duplicate),
             Some(existing) => (f, InsertOutcome::Conflict { existing }),
-            // Previously interned as a derived fact: promote it to the
-            // EDB (it gains a probability and joins the relation).
+            // Fresh, or previously interned as a derived fact: (promote
+            // it to) the EDB — it gains a probability and joins the
+            // relation.
             None => {
-                self.probs[f.index()] = Some(prob);
+                self.weights[f.index()] = prob;
+                self.set_edb_bit(f, true);
                 self.grow_to(pred);
                 self.edb[pred.index()].push(f);
                 self.bump(pred);
@@ -203,10 +206,12 @@ impl Database {
         let Some(f) = self.store.lookup(pred, args) else {
             return (None, DeleteOutcome::Missing);
         };
-        let Some(prob) = self.probs[f.index()].take() else {
+        let Some(prob) = self.prob(f) else {
             return (Some(f), DeleteOutcome::Missing);
         };
-        self.edb[pred.index()].remove(f);
+        self.weights[f.index()] = 1.0;
+        self.set_edb_bit(f, false);
+        self.edb[pred.index()].remove(f, &self.store);
         self.bump(pred);
         (Some(f), DeleteOutcome::Deleted { prob })
     }
@@ -219,7 +224,7 @@ impl Database {
     /// invalidated. Returns `None` (and changes nothing) for derived
     /// facts.
     pub fn update_prob(&mut self, f: FactId, prob: f64) -> Option<f64> {
-        let old = self.probs[f.index()]?;
+        let old = self.prob(f)?;
         // A no-change update is not a mutation: without this early-out
         // every repeated `UPDATE` to the stored value would bump the
         // epochs and spuriously invalidate all cached results depending
@@ -227,7 +232,7 @@ impl Database {
         if old.to_bits() == prob.to_bits() {
             return Some(old);
         }
-        self.probs[f.index()] = Some(prob);
+        self.weights[f.index()] = prob;
         self.bump(self.store.pred(f));
         Some(old)
     }
@@ -257,9 +262,27 @@ impl Database {
     pub fn intern_derived(&mut self, pred: PredId, args: &[Sym]) -> (FactId, bool) {
         let (f, fresh) = self.store.intern(pred, args);
         if fresh {
-            self.probs.push(None);
+            self.push_slot();
         }
         (f, fresh)
+    }
+
+    /// Appends the weight slot and EDB bit of a freshly interned fact,
+    /// as a derived fact (weight 1.0, bit clear).
+    fn push_slot(&mut self) {
+        if self.weights.len() % 64 == 0 {
+            self.edb_bits.push(0);
+        }
+        self.weights.push(1.0);
+    }
+
+    fn set_edb_bit(&mut self, f: FactId, on: bool) {
+        let (word, bit) = (f.index() / 64, 1u64 << (f.index() % 64));
+        if on {
+            self.edb_bits[word] |= bit;
+        } else {
+            self.edb_bits[word] &= !bit;
+        }
     }
 
     fn grow_to(&mut self, pred: PredId) {
@@ -271,13 +294,13 @@ impl Database {
     /// `π(f)`, or `None` for derived facts.
     #[inline]
     pub fn prob(&self, f: FactId) -> Option<f64> {
-        self.probs[f.index()]
+        self.is_edb_fact(f).then(|| self.weights[f.index()])
     }
 
     /// True if `f` is an extensional (probabilistic) fact.
     #[inline]
     pub fn is_edb_fact(&self, f: FactId) -> bool {
-        self.probs[f.index()].is_some()
+        self.edb_bits[f.index() / 64] & (1u64 << (f.index() % 64)) != 0
     }
 
     /// The extensional relation of `pred` (empty if the predicate has no
@@ -295,10 +318,24 @@ impl Database {
     /// Prepares the index of the extensional relation of `pred` for
     /// `mask` (see [`Relation::ensure_index`]); grows the relation table
     /// so that [`Database::edb_relation_ref`] is subsequently valid.
-    pub fn ensure_edb_index(&mut self, pred: PredId, mask: crate::relation::PatternMask) {
+    /// Returns whether the index grew.
+    pub fn ensure_edb_index(&mut self, pred: PredId, mask: crate::relation::PatternMask) -> bool {
         self.grow_to(pred);
         let (store, edb) = (&self.store, &mut self.edb);
-        edb[pred.index()].ensure_index(mask, store);
+        edb[pred.index()].ensure_index(mask, store)
+    }
+
+    /// Probes the index of the extensional relation of `pred` for `mask`
+    /// through a shared reference (see [`Relation::try_probe`]): `None`
+    /// when [`Database::ensure_edb_index`] has not prepared it since the
+    /// relation last grew.
+    pub fn try_probe_edb(
+        &self,
+        pred: PredId,
+        mask: crate::relation::PatternMask,
+        key: &[Sym],
+    ) -> Option<&[FactId]> {
+        self.edb.get(pred.index())?.try_probe(mask, key)
     }
 
     /// Shared reference to the extensional relation of `pred`; panics if
@@ -325,13 +362,21 @@ impl Database {
 
     /// Number of extensional facts.
     pub fn n_edb_facts(&self) -> usize {
-        self.probs.iter().filter(|p| p.is_some()).count()
+        self.edb_bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Probability weights for the WMC solvers: `weights[f] = π(f)`
     /// (derived facts get 1.0 — they never appear in lineage leaves).
+    /// Borrowed: the vector is maintained in place, so a query costs no
+    /// copy of it.
+    pub fn weight_slice(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// An owned copy of [`Database::weight_slice`], for callers that keep
+    /// the weights across later mutations.
     pub fn weights(&self) -> Vec<f64> {
-        self.probs.iter().map(|p| p.unwrap_or(1.0)).collect()
+        self.weights.clone()
     }
 
     /// Flattens the database into a [`DatabaseState`] (see there for the
@@ -344,7 +389,7 @@ impl Database {
                 .iter()
                 .map(|f| (self.store.pred(f), self.store.args(f).to_vec()))
                 .collect(),
-            probs: self.probs.clone(),
+            probs: self.store.iter().map(|f| self.prob(f)).collect(),
             edb: self.edb.iter().map(|r| r.facts().to_vec()).collect(),
             epoch: self.epoch,
             pred_epochs: self.pred_epochs.clone(),
@@ -379,19 +424,29 @@ impl Database {
             }
             edb.push(rel);
         }
-        Ok(Database {
+        let mut db = Database {
             store,
-            probs: state.probs,
+            weights: Vec::with_capacity(state.probs.len()),
+            edb_bits: Vec::new(),
             edb,
             epoch: state.epoch,
             pred_epochs: state.pred_epochs,
-        })
+        };
+        for (i, prob) in state.probs.into_iter().enumerate() {
+            db.push_slot();
+            if let Some(p) = prob {
+                db.weights[i] = p;
+                db.set_edb_bit(FactId(i as u32), true);
+            }
+        }
+        Ok(db)
     }
 
     /// Estimated live bytes of the database proper.
     pub fn estimated_bytes(&self) -> usize {
         self.store.estimated_bytes()
-            + self.probs.len() * std::mem::size_of::<Option<f64>>()
+            + self.weights.len() * std::mem::size_of::<f64>()
+            + self.edb_bits.len() * std::mem::size_of::<u64>()
             + self
                 .edb
                 .iter()

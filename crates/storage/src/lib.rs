@@ -21,4 +21,4 @@ pub mod relation;
 pub use database::{Database, DatabaseState, DbStateError, DeleteOutcome, InsertOutcome};
 pub use fact::{FactId, FactStore};
 pub use meter::{ResourceError, ResourceMeter};
-pub use relation::{Relation, TupleIndex};
+pub use relation::{PatternMask, Relation, TupleIndex};

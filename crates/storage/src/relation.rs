@@ -3,7 +3,8 @@
 //! A [`Relation`] is the set of facts of one predicate. Joins during rule
 //! instantiation probe relations through [`TupleIndex`]es: hash indexes
 //! keyed by the values at a set of *bound* positions. Indexes are built on
-//! demand per binding pattern and maintained incrementally on insert.
+//! demand per binding pattern and maintained incrementally on insert and
+//! in place on removal.
 
 use crate::fact::{FactId, FactStore};
 use ltg_datalog::fxhash::FxHashMap;
@@ -56,6 +57,26 @@ impl TupleIndex {
         self.covered = facts.len();
     }
 
+    /// Drops `f`, the fact at position `pos` of the underlying list,
+    /// from its bucket (keeping the bucket's order) when the index has
+    /// seen it. The caller removes it from the list itself.
+    fn remove(&mut self, f: FactId, pos: usize, store: &FactStore) {
+        if pos >= self.covered {
+            return;
+        }
+        self.covered -= 1;
+        let key = self.key_of(store.args(f));
+        let Some(bucket) = self.map.get_mut(&key) else {
+            return;
+        };
+        if let Some(i) = bucket.iter().position(|&g| g == f) {
+            bucket.remove(i);
+        }
+        if bucket.is_empty() {
+            self.map.remove(&key);
+        }
+    }
+
     /// Facts whose bound positions equal `key` (position order).
     pub fn probe(&self, key: &[Sym]) -> &[FactId] {
         self.map.get(key).map_or(&[], |v| v.as_slice())
@@ -95,16 +116,18 @@ impl Relation {
     }
 
     /// Removes a fact, preserving the order of the remaining ones, and
-    /// returns whether it was present. All indexes are dropped: they
-    /// only know how to grow incrementally (`covered` tracks a suffix of
-    /// appended facts), so after a removal they are rebuilt lazily on
-    /// the next probe.
-    pub fn remove(&mut self, f: FactId) -> bool {
+    /// returns whether it was present. Every index drops the fact from
+    /// its bucket in place, so an index that was current stays current
+    /// (and equal to a fresh rebuild) without another
+    /// [`Relation::ensure_index`].
+    pub fn remove(&mut self, f: FactId, store: &FactStore) -> bool {
         let Some(pos) = self.facts.iter().position(|&g| g == f) else {
             return false;
         };
+        for ix in &mut self.indexes {
+            ix.remove(f, pos, store);
+        }
         self.facts.remove(pos);
-        self.indexes.clear();
         true
     }
 
@@ -144,19 +167,23 @@ impl Relation {
     /// Builds (or refreshes) the index for `mask` without probing. Use
     /// together with [`Relation::probe_ready`] when a join must first
     /// prepare all indexes mutably and then probe through shared
-    /// references.
-    pub fn ensure_index(&mut self, mask: PatternMask, store: &FactStore) {
+    /// references. Returns whether the index grew (was created or had
+    /// facts to catch up on).
+    pub fn ensure_index(&mut self, mask: PatternMask, store: &FactStore) -> bool {
         if mask == 0 {
-            return;
+            return false;
         }
-        let pos = match self.indexes.iter().position(|ix| ix.mask() == mask) {
-            Some(p) => p,
+        let (pos, created) = match self.indexes.iter().position(|ix| ix.mask() == mask) {
+            Some(p) => (p, false),
             None => {
                 self.indexes.push(TupleIndex::new(mask));
-                self.indexes.len() - 1
+                (self.indexes.len() - 1, true)
             }
         };
-        self.indexes[pos].update(&self.facts, store);
+        let ix = &mut self.indexes[pos];
+        let grew = created || ix.covered() < self.facts.len();
+        ix.update(&self.facts, store);
+        grew
     }
 
     /// Probes an index prepared by [`Relation::ensure_index`]. A zero mask
@@ -172,6 +199,18 @@ impl Relation {
             .expect("index not prepared; call ensure_index first");
         debug_assert_eq!(ix.covered(), self.facts.len(), "stale index");
         ix.probe(key)
+    }
+
+    /// Like [`Relation::probe_ready`], but `None` instead of a panic when
+    /// the index for `mask` was never built or has not seen every fact.
+    pub fn try_probe(&self, mask: PatternMask, key: &[Sym]) -> Option<&[FactId]> {
+        if mask == 0 {
+            return Some(&self.facts);
+        }
+        self.indexes
+            .iter()
+            .find(|ix| ix.mask() == mask && ix.covered() == self.facts.len())
+            .map(|ix| ix.probe(key))
     }
 
     /// Estimated live bytes (facts + indexes).
@@ -259,25 +298,65 @@ mod tests {
         assert_eq!(rel.probe(0b01, &[cs[0]], &store).len(), 3);
     }
 
+    /// The buckets of `rel`'s index for `mask` equal those of an index
+    /// built from scratch over the relation's current facts.
+    fn assert_index_matches_rebuild(rel: &Relation, mask: PatternMask, store: &FactStore) {
+        let ix = rel.indexes.iter().find(|ix| ix.mask() == mask).unwrap();
+        let mut fresh = TupleIndex::new(mask);
+        fresh.update(rel.facts(), store);
+        assert_eq!(ix.covered(), fresh.covered());
+        assert_eq!(ix.map, fresh.map);
+        assert_eq!(ix.estimated_bytes(), fresh.estimated_bytes());
+    }
+
     #[test]
-    fn remove_preserves_order_and_invalidates_indexes() {
+    fn remove_preserves_order_and_maintains_indexes() {
         let (store, ids, cs) = store_with_edges();
         let mut rel = Relation::new();
         for &f in &ids {
             rel.push(f);
         }
-        // Build an index, then remove a fact it covers.
-        assert_eq!(rel.probe(0b01, &[cs[0]], &store).len(), 2);
-        assert!(rel.remove(ids[0])); // (a,b)
+        // Build two indexes, then remove a fact they cover.
+        rel.ensure_index(0b01, &store);
+        rel.ensure_index(0b10, &store);
+        assert_eq!(rel.probe_ready(0b01, &[cs[0]]).len(), 2);
+        assert!(rel.remove(ids[0], &store)); // (a,b)
         assert_eq!(rel.facts(), &[ids[1], ids[2], ids[3]]);
-        // The rebuilt index no longer returns the removed fact.
-        assert_eq!(rel.probe(0b01, &[cs[0]], &store), &[ids[2]]);
+        // Both indexes stay current without another ensure_index.
+        assert_eq!(rel.probe_ready(0b01, &[cs[0]]), &[ids[2]]);
+        assert_eq!(rel.probe_ready(0b10, &[cs[1]]), &[ids[3]]);
+        assert_index_matches_rebuild(&rel, 0b01, &store);
+        assert_index_matches_rebuild(&rel, 0b10, &store);
         // Removing again reports absence and changes nothing.
-        assert!(!rel.remove(ids[0]));
+        assert!(!rel.remove(ids[0], &store));
         assert_eq!(rel.len(), 3);
+        // A fact pushed after the index was built (not yet covered) is
+        // removed without touching the buckets.
+        rel.push(ids[0]);
+        assert!(rel.try_probe(0b01, &[cs[0]]).is_none(), "stale index");
+        assert!(rel.remove(ids[0], &store));
+        assert_index_matches_rebuild(&rel, 0b01, &store);
         // Removal followed by a fresh push keeps working.
         rel.push(ids[0]);
         assert_eq!(rel.probe(0b01, &[cs[0]], &store), &[ids[2], ids[0]]);
+        assert_index_matches_rebuild(&rel, 0b01, &store);
+        // Emptying a bucket drops its key.
+        assert!(rel.remove(ids[3], &store)); // (c,b)
+        assert_eq!(rel.probe_ready(0b01, &[cs[2]]), &[] as &[FactId]);
+        assert_index_matches_rebuild(&rel, 0b01, &store);
+    }
+
+    #[test]
+    fn try_probe_reports_unprepared_masks() {
+        let (store, ids, cs) = store_with_edges();
+        let mut rel = Relation::new();
+        for &f in &ids {
+            rel.push(f);
+        }
+        assert_eq!(rel.try_probe(0, &[]), Some(ids.as_slice()));
+        assert!(rel.try_probe(0b01, &[cs[0]]).is_none());
+        rel.ensure_index(0b01, &store);
+        assert_eq!(rel.try_probe(0b01, &[cs[0]]), Some(&[ids[0], ids[2]][..]));
     }
 
     #[test]

@@ -51,4 +51,7 @@ pub use sharded::{
     arb_shard_script, run_shard_script, shard_program_src, shrink_shard_script, ShardComponent,
     ShardOp, ShardScript,
 };
-pub use soak::{arb_soak_script, graph_bound, live_trees, replay_resident, run_soak_script};
+pub use soak::{
+    arb_soak_script, graph_bound, live_trees, replay_resident, replay_resident_with,
+    run_soak_script,
+};

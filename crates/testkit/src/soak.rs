@@ -65,10 +65,22 @@ pub fn graph_bound(engine: &LtgEngine) -> Result<(), String> {
 /// effective insert, retract pass after each effective delete) and
 /// returns the engine at the final fixpoint, compacted.
 pub fn replay_resident(script: &Script, config: &EngineConfig) -> Result<LtgEngine, String> {
+    replay_resident_with(script, config, |_| Ok(()))
+}
+
+/// [`replay_resident`], calling `check` on the engine after the initial
+/// reasoning run and again after every op has been applied (and reasoned
+/// over). The first `Err` aborts the replay.
+pub fn replay_resident_with(
+    script: &Script,
+    config: &EngineConfig,
+    mut check: impl FnMut(&mut LtgEngine) -> Result<(), String>,
+) -> Result<LtgEngine, String> {
     let src = program_src_with(&script.initial, script.rules);
     let program = parse_program(&src).map_err(|e| e.to_string())?;
     let mut engine = LtgEngine::with_config_and_meter(&program, config.clone(), crate::guard());
     engine.reason().map_err(|e| e.to_string())?;
+    check(&mut engine)?;
 
     for (i, &op) in script.ops.iter().enumerate() {
         match op {
@@ -100,6 +112,7 @@ pub fn replay_resident(script: &Script, config: &EngineConfig) -> Result<LtgEngi
                 }
             }
         }
+        check(&mut engine).map_err(|e| format!("after op {i} {op:?}: {e}"))?;
     }
     Ok(engine)
 }
