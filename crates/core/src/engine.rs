@@ -33,8 +33,8 @@ use ltg_datalog::{canonicalize, Atom, CanonicalProgram, PredId, Program, RuleId,
 use ltg_lineage::extract::DnfCache;
 use ltg_lineage::forest::fact_sig;
 use ltg_lineage::{
-    is_redundant, summarize, trees_dnf, Dnf, Forest, Label, LeafSummary, OccCache, SummaryCache,
-    TreeId,
+    is_redundant, summarize, table_bytes, trees_dnf, Dnf, Forest, Label, OccCache, SummaryId,
+    SummaryStore, TreeId,
 };
 use ltg_storage::{Database, DeleteOutcome, FactId, InsertOutcome, Relation, ResourceMeter};
 use std::time::{Duration, Instant};
@@ -187,13 +187,16 @@ pub struct LtgEngine {
     /// `derived`. A fact enters when it gains its first tree and leaves
     /// when its last one is retracted.
     derived_rels: Vec<Relation>,
-    /// Memoized leafset summaries per tree (see `ltg_lineage::summary`):
-    /// the canonical antichain of the tree's explanation leaf sets, or a
-    /// digest once it outgrows the exact cutoff. Covers collapsed (OR)
-    /// trees, which the historical OR-free leafset memo could not.
-    summaries: SummaryCache,
-    /// Explanation-dedup registry: root fact → summary → number of live
-    /// stored trees (occurrences in `derived`) carrying it. By Lemma 1
+    /// Interned leafset summaries (see `ltg_lineage::summary`): each
+    /// distinct canonical antichain of explanation leaf sets (or digest,
+    /// once it outgrows the exact cutoff) held once in a flat pool, plus
+    /// the dense `TreeId → SummaryId` memo. Covers collapsed (OR) trees,
+    /// which the historical OR-free leafset memo could not. Append-only
+    /// like the forest, whose growth bounds it.
+    summaries: SummaryStore,
+    /// Explanation-dedup registry: root fact → summary id → number of
+    /// live stored trees (occurrences in `derived`) carrying it, as a
+    /// list sorted by id (most facts carry one or two). By Lemma 1
     /// the lineage of a fact is the *disjunction* of its trees'
     /// explanations, so a tree whose summary is already registered
     /// repeats lineage the fact already has; storing it would only breed
@@ -204,7 +207,7 @@ pub struct LtgEngine {
     /// trees sharing one summary, and restore rebuilds the registry from
     /// the live trees, so exact occurrence counts are what keeps a
     /// restored engine in bitwise lockstep.
-    expl_seen: FxHashMap<FactId, FxHashMap<LeafSummary, u32>>,
+    expl_seen: FxHashMap<FactId, Vec<(SummaryId, u32)>>,
     /// Lazy cache: root fact → minimized union of its registered exact
     /// summaries (`None` = some registered summary is a digest, so the
     /// union is unknown and subsumption dedup is disabled for the
@@ -214,8 +217,6 @@ pub struct LtgEngine {
     /// depends on registration order — lazy rebuilds on a restored
     /// engine reproduce it exactly.
     expl_union: FxHashMap<FactId, Option<Dnf>>,
-    /// Estimated bytes held by the dedup registry.
-    expl_bytes: usize,
     /// Every `(rule, parents)` combination ever instantiated → its node.
     /// The incremental path revives dead nodes through this registry
     /// instead of re-planning them, and uses it to detect combinations
@@ -286,10 +287,9 @@ impl LtgEngine {
             graph: ExecutionGraph::new(),
             derived: FxHashMap::default(),
             derived_rels: Vec::new(),
-            summaries: SummaryCache::default(),
+            summaries: SummaryStore::new(),
             expl_seen: FxHashMap::default(),
             expl_union: FxHashMap::default(),
-            expl_bytes: 0,
             combos: FxHashMap::default(),
             idb_mask,
             dirty_edb: FxHashSet::default(),
@@ -310,26 +310,29 @@ impl LtgEngine {
     /// The leafset summary of a tree — one value standing for *all* its
     /// explanation leaf sets, collapsed (OR) trees included. Memoized
     /// across the run; a pure function of the forest, so restored
-    /// engines recompute identical summaries.
-    fn summary(&mut self, t: TreeId) -> LeafSummary {
+    /// engines recompute equal summaries (possibly under other ids).
+    fn summary(&mut self, t: TreeId) -> SummaryId {
         summarize(&self.forest, t, &mut self.summaries)
+    }
+
+    /// Whether summary `s` is registered for `fact`.
+    fn summary_seen(&self, fact: FactId, s: SummaryId) -> bool {
+        self.expl_seen
+            .get(&fact)
+            .is_some_and(|seen| seen.binary_search_by_key(&s, |e| e.0).is_ok())
     }
 
     /// Registers one live-tree occurrence of summary `s` for `fact`.
     /// The count tracks occurrences in `derived`, so register exactly
     /// when a tree enters the registry (and unregister when it leaves).
-    fn register_summary(&mut self, fact: FactId, s: LeafSummary) {
-        let bytes = 16 + s.estimated_bytes();
-        let count = self
-            .expl_seen
-            .entry(fact)
-            .or_default()
-            .entry(s)
-            .or_insert(0);
-        *count += 1;
-        if *count == 1 {
-            self.expl_bytes += bytes;
-            self.expl_union.remove(&fact);
+    fn register_summary(&mut self, fact: FactId, s: SummaryId) {
+        let seen = self.expl_seen.entry(fact).or_default();
+        match seen.binary_search_by_key(&s, |e| e.0) {
+            Ok(i) => seen[i].1 += 1,
+            Err(i) => {
+                seen.insert(i, (s, 1));
+                self.expl_union.remove(&fact);
+            }
         }
     }
 
@@ -337,17 +340,16 @@ impl LtgEngine {
     /// summary stops deduplicating once its last carrier is gone (after
     /// a re-insert of a retracted fact the same lineage becomes
     /// derivable again and must be storable).
-    fn unregister_summary(&mut self, fact: FactId, s: &LeafSummary) {
+    fn unregister_summary(&mut self, fact: FactId, s: SummaryId) {
         let Some(seen) = self.expl_seen.get_mut(&fact) else {
             return;
         };
-        let Some(count) = seen.get_mut(s) else {
+        let Ok(i) = seen.binary_search_by_key(&s, |e| e.0) else {
             return;
         };
-        *count -= 1;
-        if *count == 0 {
-            seen.remove(s);
-            self.expl_bytes = self.expl_bytes.saturating_sub(16 + s.estimated_bytes());
+        seen[i].1 -= 1;
+        if seen[i].1 == 0 {
+            seen.remove(i);
             if seen.is_empty() {
                 self.expl_seen.remove(&fact);
             }
@@ -361,30 +363,20 @@ impl LtgEngine {
     /// absorption storing it cannot change any query answer. Only exact
     /// summaries participate (a digest's conjuncts are unknown on
     /// either side).
-    fn union_absorbs(&mut self, fact: FactId, s: &LeafSummary) -> bool {
-        let LeafSummary::Exact(d) = s else {
-            return false;
-        };
-        if d.is_empty() {
+    fn union_absorbs(&mut self, fact: FactId, s: SummaryId) -> bool {
+        if self.summaries.exact_len(s).unwrap_or(0) == 0 {
             return false;
         }
         if !self.expl_union.contains_key(&fact) {
-            let rebuilt = self.expl_seen.get(&fact).map(|seen| {
-                let mut u = Dnf::ff();
-                for key in seen.keys() {
-                    match key {
-                        LeafSummary::Exact(kd) => u.or_with(kd),
-                        LeafSummary::Digest(_) => return None,
-                    }
-                }
-                u.minimize();
-                Some(u)
-            });
-            self.expl_union.insert(fact, rebuilt.flatten());
+            let rebuilt = self
+                .expl_seen
+                .get(&fact)
+                .and_then(|seen| self.summaries.union(seen.iter().map(|e| e.0)));
+            self.expl_union.insert(fact, rebuilt);
         }
-        match &self.expl_union[&fact] {
-            Some(u) => u.absorbs(d),
-            None => false,
+        match (&self.expl_union[&fact], self.summaries.exact(s)) {
+            (Some(u), Some(conjuncts)) => u.absorbs(conjuncts),
+            _ => false,
         }
     }
 
@@ -475,6 +467,30 @@ impl LtgEngine {
         Ok(!self.finished)
     }
 
+    /// Capacity-based bytes of the explanation-dedup registry and its
+    /// lazy union cache.
+    fn registry_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(SummaryId, u32)>();
+        table_bytes(
+            self.expl_seen.capacity(),
+            std::mem::size_of::<(FactId, Vec<(SummaryId, u32)>)>(),
+        ) + self
+            .expl_seen
+            .values()
+            .map(|seen| seen.capacity() * entry)
+            .sum::<usize>()
+            + table_bytes(
+                self.expl_union.capacity(),
+                std::mem::size_of::<(FactId, Option<Dnf>)>(),
+            )
+            + self
+                .expl_union
+                .values()
+                .flatten()
+                .map(Dnf::estimated_bytes)
+                .sum::<usize>()
+    }
+
     fn refresh_meter(&self) {
         let derived_bytes = self.derived.len() * 40
             + self.derived.values().map(|v| v.len() * 4).sum::<usize>()
@@ -487,8 +503,8 @@ impl LtgEngine {
             + self.forest.estimated_bytes()
             + self.graph.estimated_bytes()
             + derived_bytes
-            + self.expl_bytes
-            + self.summaries.len() * 48
+            + self.summaries.estimated_bytes()
+            + self.registry_bytes()
             + self.combos.len() * 48;
         self.meter.set_used(bytes);
     }
@@ -911,7 +927,7 @@ impl LtgEngine {
             self.stats.retracted_trees += dead.len() as u64;
             for &t in &dead {
                 let s = self.summary(t);
-                self.unregister_summary(fact, &s);
+                self.unregister_summary(fact, s);
             }
             let was_derived = self.derived.contains_key(&fact);
             let dead_set = &dead_by_fact[&fact];
@@ -1623,10 +1639,7 @@ impl LtgEngine {
                 // which is what stops the breeding under aggressive
                 // collapse.
                 let s = self.summary(t);
-                let equal_seen = self
-                    .expl_seen
-                    .get(&fact)
-                    .is_some_and(|m| m.contains_key(&s));
+                let equal_seen = self.summary_seen(fact, s);
                 // Subsumption: a candidate whose every explanation is
                 // absorbed by the fact's stored explanation union adds
                 // nothing either (it is redundant in the paper's
@@ -1634,10 +1647,10 @@ impl LtgEngine {
                 // lineage). Equality keeps the breeding *finite*;
                 // absorption is what makes the transient *short* on
                 // orientation-reversing programs.
-                let absorbed = !equal_seen && self.union_absorbs(fact, &s);
+                let absorbed = !equal_seen && self.union_absorbs(fact, s);
                 if equal_seen || absorbed {
                     self.stats.deduped += 1;
-                    if absorbed || !matches!(&s, LeafSummary::Exact(d) if d.len() == 1) {
+                    if absorbed || self.summaries.exact_len(s) != Some(1) {
                         // Multi-explanation summary: only the summary
                         // registry can catch these (the historical
                         // OR-free leafset dedup was blind here).
@@ -1935,10 +1948,9 @@ impl LtgEngine {
             graph,
             derived,
             derived_rels: Vec::new(),
-            summaries: SummaryCache::default(),
+            summaries: SummaryStore::new(),
             expl_seen: FxHashMap::default(),
             expl_union: FxHashMap::default(),
-            expl_bytes: 0,
             combos,
             idb_mask,
             dirty_edb: FxHashSet::default(),

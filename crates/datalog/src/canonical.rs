@@ -51,12 +51,7 @@ pub fn split_mixed(program: &Program) -> Program {
 /// [`split_mixed`] plus the shadow map it introduced: original mixed
 /// predicate → the fresh `p@edb` predicate now carrying its facts.
 pub fn split_mixed_with_map(program: &Program) -> (Program, FxHashMap<PredId, PredId>) {
-    let idb = program.idb_mask();
-    let mixed: Vec<PredId> = program
-        .preds
-        .iter()
-        .filter(|p| idb[p.index()] && program.facts.iter().any(|(f, _)| f.pred == *p))
-        .collect();
+    let mixed = mixed_preds(program);
     if mixed.is_empty() {
         return (program.clone(), FxHashMap::default());
     }
@@ -79,6 +74,21 @@ pub fn split_mixed_with_map(program: &Program) -> (Program, FxHashMap<PredId, Pr
         }
     }
     (out, shadow)
+}
+
+/// The *mixed* predicates of `program`: derived by some rule and
+/// carrying database facts too (ascending id order).
+pub(crate) fn mixed_preds(program: &Program) -> Vec<PredId> {
+    let idb = program.idb_mask();
+    let mut has_facts = vec![false; idb.len()];
+    for (f, _) in &program.facts {
+        has_facts[f.pred.index()] = true;
+    }
+    program
+        .preds
+        .iter()
+        .filter(|p| idb[p.index()] && has_facts[p.index()])
+        .collect()
 }
 
 /// Rewrites `program` into canonical form (mixed predicates are split

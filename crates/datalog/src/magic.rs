@@ -12,6 +12,7 @@
 //! The implementation is the textbook generalized-magic-sets construction
 //! with left-to-right sideways information passing [5, 8].
 
+use crate::canonical::{mixed_preds, split_mixed};
 use crate::fxhash::FxHashMap;
 use crate::rule::{GroundAtom, Program, Rule};
 use crate::symbols::PredId;
@@ -41,7 +42,20 @@ fn adornment_suffix(a: &Adornment) -> String {
 /// If the query predicate is extensional or the query has no bound
 /// argument, the transformation degenerates gracefully (for an EDB query
 /// the program is returned with only the query replaced).
+///
+/// Mixed predicates (facts *and* rules) are split first (see
+/// [`split_mixed`]): the adorned copy of a predicate is defined by its
+/// rules alone, so its database facts must sit behind a copy rule to
+/// reach the rewritten program. Programs without mixed predicates are
+/// not copied for this.
 pub fn magic_transform(program: &Program, query: &Atom) -> MagicProgram {
+    let split;
+    let program = if mixed_preds(program).is_empty() {
+        program
+    } else {
+        split = split_mixed(program);
+        &split
+    };
     let idb = program.idb_mask();
 
     if !idb[query.pred.index()] {
@@ -210,7 +224,10 @@ pub fn magic_transform(program: &Program, query: &Atom) -> MagicProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::FxHashSet;
     use crate::parser::parse_program;
+    use crate::symbols::Sym;
+    use std::collections::BTreeMap;
 
     #[test]
     fn edb_query_is_passthrough() {
@@ -318,5 +335,142 @@ mod tests {
             .preds
             .name(r.head.pred)
             .contains("unrelated")));
+    }
+
+    /// The least model (naive fixpoint) of `program` over the facts
+    /// `keep` selects by index.
+    fn least_model(program: &Program, keep: impl Fn(usize) -> bool) -> FxHashSet<GroundAtom> {
+        let mut model: FxHashSet<GroundAtom> = program
+            .facts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| keep(*i))
+            .map(|(_, (f, _))| f.clone())
+            .collect();
+        loop {
+            let mut fresh = Vec::new();
+            for rule in &program.rules {
+                let mut subst = vec![None; rule.n_vars];
+                join(&rule.body, &mut subst, &model, &mut |s| {
+                    let args = rule
+                        .head
+                        .terms
+                        .iter()
+                        .map(|t| match t {
+                            Term::Const(c) => *c,
+                            Term::Var(v) => s[v.index()].expect("range-restricted"),
+                        })
+                        .collect();
+                    fresh.push(GroundAtom::new(rule.head.pred, args));
+                });
+            }
+            let before = model.len();
+            model.extend(fresh);
+            if model.len() == before {
+                return model;
+            }
+        }
+    }
+
+    fn join(
+        body: &[Atom],
+        subst: &mut Vec<Option<Sym>>,
+        model: &FxHashSet<GroundAtom>,
+        emit: &mut dyn FnMut(&[Option<Sym>]),
+    ) {
+        let Some((atom, rest)) = body.split_first() else {
+            emit(subst);
+            return;
+        };
+        for fact in model.iter().filter(|f| f.pred == atom.pred) {
+            let saved = subst.clone();
+            let matched = atom.terms.iter().zip(&fact.args).all(|(t, &a)| match t {
+                Term::Const(c) => *c == a,
+                Term::Var(v) => *subst[v.index()].get_or_insert(a) == a,
+            });
+            if matched {
+                join(rest, subst, model, emit);
+            }
+            *subst = saved;
+        }
+    }
+
+    /// Probability of every fact of `pred` matching `query`'s constants,
+    /// by enumerating the possible worlds of the uncertain facts; keyed
+    /// by argument names.
+    fn answers(program: &Program, pred: PredId, query: &Atom) -> BTreeMap<Vec<String>, f64> {
+        let uncertain: Vec<usize> = (0..program.facts.len())
+            .filter(|&i| program.facts[i].1 < 1.0)
+            .collect();
+        let mut out = BTreeMap::new();
+        for mask in 0u64..1 << uncertain.len() {
+            let in_world = |i: usize| {
+                uncertain
+                    .iter()
+                    .position(|&u| u == i)
+                    .is_none_or(|b| mask >> b & 1 == 1)
+            };
+            let weight: f64 = uncertain
+                .iter()
+                .enumerate()
+                .map(|(b, &i)| {
+                    let p = program.facts[i].1;
+                    if mask >> b & 1 == 1 {
+                        p
+                    } else {
+                        1.0 - p
+                    }
+                })
+                .product();
+            for f in least_model(program, in_world) {
+                let matches = query
+                    .terms
+                    .iter()
+                    .zip(&f.args)
+                    .all(|(t, &a)| t.as_const().is_none_or(|c| c == a));
+                if f.pred == pred && matches {
+                    let key = f.args.iter().map(|&a| program.symbols.name(a).to_string());
+                    *out.entry(key.collect()).or_insert(0.0) += weight;
+                }
+            }
+        }
+        out
+    }
+
+    /// A mixed predicate (`worksFor`: facts and a rule) feeding a
+    /// recursive one. The adorned copies used to see only what the
+    /// rules derive, so `memberOf(alice,uni)`, which rests on the
+    /// database fact `worksFor(alice,dept1)`, went missing under magic
+    /// sets.
+    #[test]
+    fn mixed_predicates_keep_their_facts_under_magic_sets() {
+        let p = parse_program(
+            "0.9::worksFor(alice,dept1). 0.7::headOf(carol,dept3).
+             0.6::subOrg(dept1,uni). 0.5::subOrg(dept3,uni).
+             worksFor(X,Y):-headOf(X,Y). memberOf(X,Y):-worksFor(X,Y).
+             memberOf(X,Z):-memberOf(X,Y),subOrg(Y,Z). query memberOf(X,uni).",
+        )
+        .unwrap();
+        let q = p.queries[0].clone();
+        let plain = answers(&p, q.pred, &q);
+        let m = magic_transform(&p, &q);
+        let magic = answers(&m.program, m.query.pred, &m.query);
+        let names: Vec<&str> = magic.keys().map(|k| k[0].as_str()).collect();
+        assert_eq!(names, ["alice", "carol"]);
+        assert!((magic[&vec!["alice".to_string(), "uni".to_string()]] - 0.54).abs() < 1e-12);
+        assert_eq!(plain.len(), magic.len());
+        for (k, pa) in &plain {
+            assert!((pa - magic[k]).abs() < 1e-12, "{k:?}: {pa} vs {}", magic[k]);
+        }
+    }
+
+    #[test]
+    fn programs_without_mixed_predicates_are_not_split() {
+        let p = parse_program("e(a,b). p(X,Y) :- e(X,Y). query p(a,X).").unwrap();
+        let m = magic_transform(&p, &p.queries[0]);
+        assert_eq!(m.program.facts[0].0.pred, p.facts[0].0.pred);
+        let mixed = parse_program("e(a,b). p(b,c). p(X,Y) :- e(X,Y). query p(a,X).").unwrap();
+        let m = magic_transform(&mixed, &mixed.queries[0]);
+        assert!(m.program.preds.lookup("p@edb", 2).is_some());
     }
 }

@@ -77,16 +77,31 @@ impl Dnf {
         self.conjuncts.extend(other.conjuncts.iter().cloned());
     }
 
+    /// Disjunction with borrowed conjuncts (each sorted and
+    /// duplicate-free, e.g. a `SummaryStore` pool slice).
+    pub fn or_conjuncts<'a>(&mut self, other: impl Iterator<Item = &'a [FactId]>) {
+        self.conjuncts.extend(other.map(Box::from));
+    }
+
     /// Conjunction: the pairwise merge of the conjunct sets. Errors if the
     /// result would exceed `cap` conjuncts.
     pub fn and(&self, other: &Dnf, cap: usize) -> Result<Dnf, LineageTooLarge> {
-        let size = self.conjuncts.len().saturating_mul(other.conjuncts.len());
+        self.and_conjuncts(other.conjuncts(), cap)
+    }
+
+    /// [`Dnf::and`] with borrowed conjuncts (each sorted and
+    /// duplicate-free).
+    pub fn and_conjuncts<'a, I>(&self, other: I, cap: usize) -> Result<Dnf, LineageTooLarge>
+    where
+        I: ExactSizeIterator<Item = &'a [FactId]> + Clone,
+    {
+        let size = self.conjuncts.len().saturating_mul(other.len());
         if size > cap {
             return Err(LineageTooLarge { conjuncts: size });
         }
         let mut out = Vec::with_capacity(size);
         for a in &self.conjuncts {
-            for b in &other.conjuncts {
+            for b in other.clone() {
                 out.push(merge_sorted(a, b));
             }
         }
@@ -109,7 +124,7 @@ impl Dnf {
     }
 
     /// Iterates over the conjuncts.
-    pub fn conjuncts(&self) -> impl Iterator<Item = &[FactId]> {
+    pub fn conjuncts(&self) -> impl ExactSizeIterator<Item = &[FactId]> + Clone {
         self.conjuncts.iter().map(|c| c.as_ref())
     }
 
@@ -155,16 +170,15 @@ impl Dnf {
         self.conjuncts.sort_unstable();
     }
 
-    /// Whether this (monotone) DNF absorbs `other`: every conjunct of
-    /// `other` is a superset of some conjunct of `self`, so
+    /// Whether this (monotone) DNF absorbs the conjuncts `other` (each
+    /// sorted): every one is a superset of some conjunct of `self`, so
     /// `self ∨ other ≡ self`. Signature-prefiltered like
     /// [`Dnf::minimize`]'s absorption pass.
-    pub fn absorbs(&self, other: &Dnf) -> bool {
-        let sigs: Vec<u64> = self.conjuncts.iter().map(|c| conjunct_sig(c)).collect();
-        other.conjuncts.iter().all(|oc| {
+    pub fn absorbs<'a>(&self, other: impl IntoIterator<Item = &'a [FactId]>) -> bool {
+        let sigs: Vec<u64> = self.conjuncts().map(conjunct_sig).collect();
+        other.into_iter().all(|oc| {
             let osig = conjunct_sig(oc);
-            self.conjuncts
-                .iter()
+            self.conjuncts()
                 .zip(&sigs)
                 .any(|(c, &sig)| sig & !osig == 0 && is_subset(c, oc))
         })
@@ -340,12 +354,12 @@ mod tests {
         let mut covered = Dnf::unit(vec![fid(1), fid(2)]);
         covered.push(vec![fid(1), fid(2), fid(3)]);
         covered.push(vec![fid(2), fid(3), fid(4)]);
-        assert!(u.absorbs(&covered));
-        assert!(!u.absorbs(&Dnf::var(fid(4))));
+        assert!(u.absorbs(covered.conjuncts()));
+        assert!(!u.absorbs(Dnf::var(fid(4)).conjuncts()));
         // ff is absorbed by anything; nothing non-trivial absorbs into ff.
-        assert!(u.absorbs(&Dnf::ff()));
-        assert!(Dnf::ff().absorbs(&Dnf::ff()));
-        assert!(!Dnf::ff().absorbs(&u));
+        assert!(u.absorbs(Dnf::ff().conjuncts()));
+        assert!(Dnf::ff().absorbs(Dnf::ff().conjuncts()));
+        assert!(!Dnf::ff().absorbs(u.conjuncts()));
     }
 
     #[test]

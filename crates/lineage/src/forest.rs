@@ -57,9 +57,15 @@ struct NodeMeta {
 pub struct Forest {
     nodes: Vec<NodeMeta>,
     children: Vec<TreeId>,
-    /// hash(label, fact, children) → candidate ids (open chaining).
-    buckets: FxHashMap<u64, Vec<u32>>,
+    /// hash(label, fact, children) → the newest node with that hash;
+    /// `next` links each node to the next older one with the same hash
+    /// (intrusive chaining: no per-bucket allocation).
+    heads: FxHashMap<u64, u32>,
+    next: Vec<u32>,
 }
+
+/// End of a hash chain.
+const NIL: u32 = u32::MAX;
 
 /// The signature bit of one fact.
 #[inline]
@@ -89,16 +95,17 @@ impl Forest {
     /// Interns a node; `(label, fact, children)` triples are deduplicated.
     pub fn node(&mut self, label: Label, fact: FactId, children: &[TreeId]) -> TreeId {
         let h = node_hash(label, fact, children);
-        if let Some(bucket) = self.buckets.get(&h) {
-            for &cand in bucket {
-                let m = &self.nodes[cand as usize];
-                if m.fact == fact && m.label == label {
-                    let start = m.offset as usize;
-                    if &self.children[start..start + m.len as usize] == children {
-                        return TreeId(cand);
-                    }
+        let head = self.heads.get(&h).copied().unwrap_or(NIL);
+        let mut cand = head;
+        while cand != NIL {
+            let m = &self.nodes[cand as usize];
+            if m.fact == fact && m.label == label {
+                let start = m.offset as usize;
+                if &self.children[start..start + m.len as usize] == children {
+                    return TreeId(cand);
                 }
             }
+            cand = self.next[cand as usize];
         }
         let mut sig = fact_sig(fact);
         for c in children {
@@ -114,7 +121,8 @@ impl Forest {
             len: children.len() as u32,
             sig,
         });
-        self.buckets.entry(h).or_default().push(id);
+        self.next.push(head);
+        self.heads.insert(h, id);
         TreeId(id)
     }
 
@@ -191,12 +199,12 @@ impl Forest {
         self.nodes.is_empty()
     }
 
-    /// Estimated live bytes.
+    /// Estimated live bytes, by capacity.
     pub fn estimated_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<NodeMeta>()
-            + self.children.len() * std::mem::size_of::<TreeId>()
-            + self.buckets.len() * 24
-            + self.nodes.len() * 4
+        self.nodes.capacity() * std::mem::size_of::<NodeMeta>()
+            + self.children.capacity() * std::mem::size_of::<TreeId>()
+            + self.next.capacity() * 4
+            + crate::table_bytes(self.heads.capacity(), 12)
     }
 
     /// Flattens the *entire* arena into index-based records, one per

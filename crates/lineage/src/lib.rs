@@ -33,5 +33,11 @@ pub use dnf::{Dnf, LineageTooLarge};
 pub use extract::{tree_dnf, trees_dnf, DnfCache};
 pub use forest::{Forest, Label, TreeId};
 pub use redundancy::{is_redundant, min_occ, OccCache};
-pub use summary::{summarize, LeafSummary, SummaryCache, EXACT_CONJUNCT_CUTOFF};
+pub use summary::{summarize, SummaryId, SummaryStore, EXACT_CONJUNCT_CUTOFF};
 pub use unfold::{unfold, MaterialTree};
+
+/// Approximate heap bytes of a hash table with `capacity` usable slots
+/// of `entry` bytes each (one control byte per slot, 7/8 load factor).
+pub fn table_bytes(capacity: usize, entry: usize) -> usize {
+    capacity * 8 / 7 * (entry + 1)
+}

@@ -240,3 +240,64 @@ fn cross_engine_answer_keys_align() {
     topk_keys.sort();
     assert_eq!(ltg_sorted, topk_keys);
 }
+
+/// Exact dedup decisions on three fixed worlds: the LUBM `scaled(1)`
+/// materialisation, the dense-cyclic collapse world above (default and
+/// threshold-2 collapsing), and one VQAR scene. The counts were taken
+/// from the representation that kept one owned antichain per tree, so a
+/// change to how summaries are stored or compared cannot silently store
+/// (or drop) a tree the old one did not.
+#[test]
+fn explanation_dedup_counts_are_pinned() {
+    use ltgs::benchdata::lubm::{generate as lubm, LubmConfig};
+    use ltgs::benchdata::vqar::{scene, VqarConfig};
+    let dense_cyclic = parse_program(
+        "0.5 :: e(n0, n1). 0.5 :: e(n1, n2). 0.5 :: e(n2, n0). 0.5 :: e(n0, n2).
+         0.5 :: e(n2, n1). 0.5 :: e(n1, n3). 0.5 :: e(n3, n0).
+         p(X, Y) :- e(X, Y).
+         p(X, Y) :- p(X, Z), p(Z, Y).",
+    )
+    .unwrap();
+    let threshold_2 = EngineConfig {
+        collapse: true,
+        collapse_threshold: 2,
+        ..EngineConfig::default()
+    };
+    let worlds = [
+        (
+            "lubm-1",
+            lubm("LUBM-test", &LubmConfig::scaled(1)).program,
+            EngineConfig::default(),
+        ),
+        (
+            "dense-cyclic",
+            dense_cyclic.clone(),
+            EngineConfig::default(),
+        ),
+        ("dense-cyclic/threshold-2", dense_cyclic, threshold_2),
+        (
+            "vqar-0",
+            scene(0, &VqarConfig::default()).program,
+            EngineConfig::default(),
+        ),
+    ];
+    // (derivations, deduped, leafset_dedup_hits, forest trees)
+    let expected: [(u64, u64, u64, usize); 4] = [
+        (22906, 201, 182, 23792),
+        (336, 40, 20, 343),
+        (336, 36, 20, 394),
+        (3683, 1632, 1468, 3719),
+    ];
+    for ((label, program, config), want) in worlds.into_iter().zip(expected) {
+        let mut engine = LtgEngine::with_config(&program, config);
+        engine.reason().unwrap();
+        let s = engine.stats();
+        let got = (
+            s.derivations,
+            s.deduped,
+            s.leafset_dedup_hits,
+            engine.forest().len(),
+        );
+        assert_eq!(got, want, "{label}: dedup counts moved");
+    }
+}
